@@ -166,10 +166,24 @@ func TestPipelinedRequestsMatchOutOfOrderReplies(t *testing.T) {
 // Dial — typed, immediate, no hang — and a default client that settled on
 // v1 gets the same typed error from Subscribe without touching the wire.
 func TestDialVersionMismatchTyped(t *testing.T) {
-	_, addr := startServerV1(t)
+	// A v1-only server that answers pings; fakeServer takes one
+	// connection, so each dial gets its own.
+	ackPings := func(fr *wire.FrameReader, fw *wire.FrameWriter) {
+		for {
+			env, err := fr.ReadEnvelope()
+			if err != nil {
+				return
+			}
+			if env.Type == wire.MsgControl {
+				_ = fw.WriteEnvelope(&wire.Envelope{Type: wire.MsgAck, Seq: env.Seq})
+				_ = fw.Flush()
+			}
+		}
+	}
 
 	// Requiring v2 fails the dial itself.
-	_, err := DialContext(context.Background(), addr, DialOptions{MinProto: wire.ProtoV2})
+	_, err := DialContext(context.Background(), fakeServer(t, wire.ProtoV1, ackPings),
+		DialOptions{MinProto: wire.ProtoV2})
 	var ve *wire.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("dial error = %v, want *wire.VersionError", err)
@@ -179,7 +193,7 @@ func TestDialVersionMismatchTyped(t *testing.T) {
 	}
 
 	// A tolerant client connects at v1, but Subscribe fails typed.
-	cl, err := Dial(addr)
+	cl, err := Dial(fakeServer(t, wire.ProtoV1, ackPings))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +218,6 @@ func TestDialVersionMismatchTyped(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// startServerV1 is startServer pinned to protocol v1.
-func startServerV1(t *testing.T) (*Server, string) {
-	t.Helper()
-	p := newTestPlatform(t)
-	srv := NewWithOptions(p, discardLogger(),
-		Options{Scheduler: SchedulerConfig{Deadline: -1}, MaxProto: wire.ProtoV1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	return srv, addr
 }
 
 // TestSubscribeStandalone is the v2 streaming happy path on a standalone
@@ -285,6 +285,56 @@ func TestSubscribeStandalone(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("channel never closed after unsubscribe")
 		}
+	}
+}
+
+// TestSubscribeStandalonePollWhileStreaming polls frames on a standalone
+// session while its own 1 ms stream renders it on other scheduler workers.
+// Each reply is encoded from per-session scratch the next render
+// overwrites, so both paths must encode under the session lock: under
+// -race an encode outside it is a data race, and without -race it shows as
+// a corrupt frame or a reply for the wrong request.
+func TestSubscribeStandalonePollWhileStreaming(t *testing.T) {
+	_, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+		t.Fatal(err)
+	}
+	frames, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed := make(chan int)
+	go func() {
+		n := 0
+		for range frames {
+			n++
+		}
+		pushed <- n
+	}()
+	for i := 0; i < 300; i++ {
+		f, _, err := cl.RequestFrame()
+		if err != nil {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+		if len(f.Annotations) == 0 {
+			t.Fatalf("poll %d: frame carries no annotations", i)
+		}
+	}
+	if err := cl.Unsubscribe(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-pushed:
+		if n == 0 {
+			t.Fatal("no frames pushed while polling")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("channel never closed after unsubscribe")
 	}
 }
 
@@ -604,6 +654,108 @@ func TestLegacyRawClientStillServed(t *testing.T) {
 	env = rc.read(t)
 	if env.Type != wire.MsgError || !strings.Contains(string(env.Payload), "version mismatch") {
 		t.Fatalf("v1 subscribe reply = %v %q, want version-mismatch error", env.Type, env.Payload)
+	}
+}
+
+// TestStandaloneClientConnEdgeCases pins how a standalone client
+// connection treats envelopes outside the plain v1 exchange. Each case
+// starts with ordinary traffic, which pins the connection at v1, and sends
+// under a session ID the server must ignore. The reply must carry the
+// connection's own session, and the connection must stay usable on it.
+func TestStandaloneClientConnEdgeCases(t *testing.T) {
+	var hb wire.Buffer
+	wire.EncodeHelloInto(&hb, wire.Hello{Name: "late", Version: wire.ProtoMax})
+	cases := []struct {
+		name     string
+		typ      wire.MsgType
+		payload  []byte
+		want     wire.MsgType
+		wantText string
+	}{
+		{"hello after traffic", wire.MsgHello, hb.Bytes(), wire.MsgError, "hello after traffic"},
+		{"control payload is a ping", wire.MsgControl, []byte{CtrlEndSession}, wire.MsgAck, ""},
+		{"migrate is unsupported", wire.MsgMigrateSession, nil, wire.MsgError, "unsupported message"},
+	}
+	_, addr := startServer(t)
+	frame := func(t *testing.T, rc *rawConn) *wire.Envelope {
+		t.Helper()
+		seq := rc.send(t, wire.MsgFrameRequest, 0, nil)
+		env := rc.read(t)
+		if env.Type != wire.MsgAnnotations || env.Seq != seq {
+			t.Fatalf("frame reply = %v seq %d %q, want annotations seq %d", env.Type, env.Seq, env.Payload, seq)
+		}
+		return env
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := dialRaw(t, addr)
+			rc.sendGPS(t, 0, center)
+			session := frame(t, rc).Session
+			seq := rc.send(t, tc.typ, session+1000, tc.payload)
+			env := rc.read(t)
+			if env.Type != tc.want || env.Seq != seq || !strings.Contains(string(env.Payload), tc.wantText) {
+				t.Fatalf("reply = %v seq %d %q, want %v seq %d containing %q",
+					env.Type, env.Seq, env.Payload, tc.want, seq, tc.wantText)
+			}
+			if env.Session != session {
+				t.Fatalf("reply on session %d, want the connection's %d", env.Session, session)
+			}
+			if got := frame(t, rc).Session; got != session {
+				t.Fatalf("frame after %s served on session %d, want %d", tc.name, got, session)
+			}
+		})
+	}
+}
+
+// TestStalledClientDoesNotWedgeWorkers: a standalone client that pipelines
+// thousands of frame requests and never reads its replies fills its socket
+// buffers. That must block only its own connection; the render workers
+// must keep serving every other client.
+func TestStalledClientDoesNotWedgeWorkers(t *testing.T) {
+	// Large overlays fill the stalled connection's buffers quickly.
+	p, err := core.NewPlatform(core.Config{Seed: 1, MaxAnnotations: 200,
+		City: geo.CityConfig{Center: center, RadiusM: 1500, NumPOIs: 3000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(p, discardLogger(),
+		Options{Scheduler: SchedulerConfig{Workers: 2, Deadline: -1}})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+
+	stalled := dialRaw(t, addr)
+	stalled.sendGPS(t, 0, center)
+	go func() {
+		// Writes block once the server stops reading; the test's cleanup
+		// closes the conn and ends the loop.
+		for seq := uint64(1); ; seq++ {
+			env := wire.Envelope{Type: wire.MsgFrameRequest, Seq: seq}
+			if stalled.fw.WriteEnvelope(&env) != nil || stalled.fw.Flush() != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Keep polling while the flood renders and its buffers fill up.
+	start := time.Now()
+	for time.Since(start) < 2*time.Second {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, _, err := c.RequestFrameContext(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("frame %v into a stalled client's flood: %v", time.Since(start), err)
+		}
 	}
 }
 

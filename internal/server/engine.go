@@ -1,10 +1,12 @@
-// The frame-serving engine and the shared listener plumbing. Three roles
-// are built on the Engine: the standalone Server (one session per client
-// connection), the Shard (a partition of the session ID space, sessions
-// resolved per envelope), and the Router (no engine of its own — it owns
-// client connections and forwards to shards). Extracting the engine from
-// the TCP listener is what lets one process serve any role with identical
-// frame semantics.
+// The frame-serving engine and the shared listener plumbing. The Engine
+// (platform, frame scheduler, pacing wheel, flight recorder, pooled
+// encode buffers) backs both frame-serving roles through one node and one
+// per-connection dispatch: the Shard serves a partition of the session ID
+// space to routers, and the standalone Server is a shard whose connections
+// are each bound to one session. The Router has no engine of its own — it
+// owns client connections and forwards to shards. Extracting the engine
+// from the TCP listener is what lets one process serve any role with
+// identical frame semantics.
 package server
 
 import (
@@ -87,59 +89,23 @@ func (e *Engine) Close() {
 	e.sched.Close()
 }
 
-// handle applies one inbound envelope against sess. When hasReply is true,
-// reply has been filled in; pooled (when non-nil) backs reply.Payload and
-// must be released only after the reply has been written.
-func (e *Engine) handle(sess *core.Session, env, reply *wire.Envelope) (hasReply bool, pooled *wire.Buffer, err error) {
-	switch env.Type {
-	case wire.MsgSensorEvent:
-		return false, nil, applySensor(sess, env.Payload) // sensor stream is one-way
-	case wire.MsgFrameRequest:
-		f, err := e.sched.Frame(sess)
-		if err != nil {
-			return false, nil, err
-		}
-		pooled = e.encodeFrameReply(reply, sess.ID, env.Seq, f)
-		return true, pooled, nil
-	case wire.MsgControl:
-		*reply = wire.Envelope{Type: wire.MsgAck, Seq: env.Seq, Session: sess.ID}
-		return true, nil, nil
-	default:
-		return false, nil, fmt.Errorf("server: unsupported message %v", env.Type)
-	}
-}
-
-// encodeFrameReply encodes f into a pooled buffer and fills reply as the
-// annotations response for (session, seq). The returned buffer backs
-// reply.Payload; release it after the write.
+// encodeFrame encodes f into a pooled buffer and fills reply as a typ
+// envelope for (session, seq). MsgFrameDelta carries a keyframe body when
+// keyframe is set (or the frame has no previous layout) and a diff against
+// the session's previous frame otherwise; any other type carries the full
+// frame. The returned buffer backs reply.Payload; release it after the
+// write.
 //
 //arbd:hotpath
-func (e *Engine) encodeFrameReply(reply *wire.Envelope, session, seq uint64, f *core.Frame) *wire.Buffer {
+func (e *Engine) encodeFrame(reply *wire.Envelope, typ wire.MsgType, session, seq uint64, f *core.Frame, keyframe bool) *wire.Buffer {
 	buf := e.bufs.Get().(*wire.Buffer)
 	buf.Reset()
-	core.EncodeFrameInto(buf, f)
-	*reply = wire.Envelope{
-		Type: wire.MsgAnnotations, Seq: seq, Session: session,
-		Payload: buf.Bytes(),
+	if typ == wire.MsgFrameDelta {
+		core.EncodeFrameDeltaInto(buf, f, keyframe)
+	} else {
+		core.EncodeFrameInto(buf, f)
 	}
-	return buf
-}
-
-// encodeFrameDeltaReply encodes f into a pooled buffer as a MsgFrameDelta
-// push for (session, seq) — a full keyframe body when keyframe is set (or
-// the frame has no previous layout), a diff against the session's previous
-// frame otherwise. The returned buffer backs reply.Payload; release it
-// after the write.
-//
-//arbd:hotpath
-func (e *Engine) encodeFrameDeltaReply(reply *wire.Envelope, session, seq uint64, f *core.Frame, keyframe bool) *wire.Buffer {
-	buf := e.bufs.Get().(*wire.Buffer)
-	buf.Reset()
-	core.EncodeFrameDeltaInto(buf, f, keyframe)
-	*reply = wire.Envelope{
-		Type: wire.MsgFrameDelta, Seq: seq, Session: session,
-		Payload: buf.Bytes(),
-	}
+	*reply = wire.Envelope{Type: typ, Seq: seq, Session: session, Payload: buf.Bytes()}
 	return buf
 }
 
@@ -148,27 +114,25 @@ func (e *Engine) release(buf *wire.Buffer) { e.bufs.Put(buf) }
 
 // answerHello handles an inbound MsgHello on a listener-side connection:
 // it decodes the peer's announced version, writes this node's hello reply
-// (identity chosen by the role; localMax is the highest protocol version
-// the role speaks, normally wire.ProtoMax), and returns the version both
-// sides settled on. Mismatches fail closed: a MsgError carrying the typed
-// error's text goes back and the connection should be dropped.
-func answerHello(w *lockedWriter, env *wire.Envelope, id uint64, name string, localMax uint32) (peer wire.Hello, proto uint32, err error) {
-	peer, err = wire.DecodeHello(env.Payload)
-	if err != nil {
-		_ = w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
-		return peer, 0, err
+// (identity chosen by the role, offering wire.ProtoMax), and returns the
+// version both sides settled on. Mismatches fail closed: a MsgError
+// carrying the typed error's text goes back and the connection should be
+// dropped.
+func answerHello(w *lockedWriter, env *wire.Envelope, id uint64, name string) (proto uint32, err error) {
+	peer, err := wire.DecodeHello(env.Payload)
+	if err == nil {
+		proto, err = wire.Negotiate(wire.ProtoMax, peer.Version, wire.ProtoMin)
 	}
-	proto, err = wire.Negotiate(localMax, peer.Version, wire.ProtoMin)
 	if err != nil {
 		_ = w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
-		return peer, 0, err
+		return 0, err
 	}
 	var buf wire.Buffer
-	wire.EncodeHelloInto(&buf, wire.Hello{ID: id, Name: name, Version: localMax})
+	wire.EncodeHelloInto(&buf, wire.Hello{ID: id, Name: name, Version: wire.ProtoMax})
 	if err := w.write(&wire.Envelope{Type: wire.MsgHello, Seq: env.Seq, Session: id, Payload: buf.Bytes()}); err != nil {
-		return peer, 0, err
+		return 0, err
 	}
-	return peer, proto, nil
+	return proto, nil
 }
 
 // lockedWriter serialises envelope writes to one connection shared by

@@ -486,7 +486,7 @@ func (r *Router) serveAdmin(conn net.Conn) {
 		}
 		switch env.Type {
 		case wire.MsgHello:
-			if _, _, err := answerHello(w, &env, 0, "router-admin", wire.ProtoMax); err != nil {
+			if _, err := answerHello(w, &env, 0, "router-admin"); err != nil {
 				return
 			}
 		case wire.MsgJoinShard:

@@ -71,29 +71,17 @@ func loadFn(sig func() core.LoadSignal) func() (time.Duration, int64) {
 	}
 }
 
-// ObsPlane builds the standalone server's introspection plane.
-func (s *Server) ObsPlane() *obs.Plane {
+// ObsPlane builds the node's introspection plane. A shard's Node carries
+// its ring member ID so scraped traces attribute to the right partition.
+func (n *node) ObsPlane() *obs.Plane {
 	return obs.NewPlane(obs.PlaneConfig{
-		Role:     "standalone",
-		Registry: s.eng.platform.Metrics(),
-		Recorder: s.eng.rec,
-		Sessions: func() []obs.SessionSummary { return sessionSummaries(s.eng.platform) },
-		Streams:  s.eng.StreamSummaries,
-		Load:     loadFn(s.eng.platform.LoadSignal),
-	})
-}
-
-// ObsPlane builds the shard's introspection plane. Node carries the shard's
-// ring member ID so scraped traces attribute to the right partition.
-func (sh *Shard) ObsPlane() *obs.Plane {
-	return obs.NewPlane(obs.PlaneConfig{
-		Role:     "shard",
-		Node:     sh.id,
-		Registry: sh.eng.platform.Metrics(),
-		Recorder: sh.eng.rec,
-		Sessions: func() []obs.SessionSummary { return sessionSummaries(sh.eng.platform) },
-		Streams:  sh.eng.StreamSummaries,
-		Load:     loadFn(sh.load),
+		Role:     n.role,
+		Node:     n.id,
+		Registry: n.eng.platform.Metrics(),
+		Recorder: n.eng.rec,
+		Sessions: func() []obs.SessionSummary { return sessionSummaries(n.eng.platform) },
+		Streams:  n.eng.StreamSummaries,
+		Load:     loadFn(n.load),
 	})
 }
 

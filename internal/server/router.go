@@ -98,10 +98,6 @@ type RouterOptions struct {
 	DialTimeout time.Duration
 	// Retry is the backend reconnect budget (see RetryPolicy).
 	Retry RetryPolicy
-	// MaxProto caps the protocol version negotiated with clients (default
-	// wire.ProtoMax). Shard connections always negotiate the router's full
-	// range — capping the client side is what turns streaming off.
-	MaxProto uint32
 	// MigrateTimeout bounds each phase (export, import) of one session's
 	// live migration; a shard that stops answering mid-drain costs that
 	// session its state, not the drain its liveness (default 5 s).
@@ -129,9 +125,6 @@ func (o *RouterOptions) defaults() {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxProto == 0 {
-		o.MaxProto = wire.ProtoMax
 	}
 	if o.MigrateTimeout <= 0 {
 		o.MigrateTimeout = 5 * time.Second
@@ -349,6 +342,9 @@ type routerClient struct {
 	migrating chan struct{}
 }
 
+// Member is one shard node in the membership; see membership.Member.
+type Member = membership.Member
+
 // NewRouter returns a router over the membership (not yet connected or
 // listening). reg may be nil.
 func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts RouterOptions) (*Router, error) {
@@ -392,7 +388,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
 // Ring exposes the current epoch's placement ring.
-func (r *Router) Ring() *Ring { return r.dir.View().Ring() }
+func (r *Router) Ring() *membership.Ring { return r.dir.View().Ring() }
 
 // Directory exposes the membership control plane (epoch, watch API).
 func (r *Router) Directory() *membership.Directory { return r.dir }
@@ -848,7 +844,7 @@ func (r *Router) serveClient(conn net.Conn) {
 				continue
 			}
 			first = false
-			_, p, err := answerHello(&cl.lockedWriter, &env, id, "router", r.opts.MaxProto)
+			p, err := answerHello(&cl.lockedWriter, &env, id, "router")
 			if err != nil {
 				return
 			}

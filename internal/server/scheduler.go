@@ -143,11 +143,6 @@ func (j *frameJob) finish(f *core.Frame, err error) {
 	j.doneErr(err)
 }
 
-type frameResult struct {
-	frame *core.Frame
-	err   error
-}
-
 // NewFrameScheduler starts the worker pool. reg may be nil.
 func NewFrameScheduler(cfg SchedulerConfig, reg *metrics.Registry) *FrameScheduler {
 	cfg.defaults()
@@ -362,20 +357,6 @@ func (fs *FrameScheduler) submit(job frameJob) error {
 	case <-fs.quit:
 		return ErrSchedulerClosed
 	}
-}
-
-// Frame schedules one frame for the session and blocks for the result —
-// the synchronous path the per-connection loop uses. Every enqueued job is
-// answered (worker or close drain), so the wait cannot leak.
-func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
-	reply := make(chan frameResult, 1)
-	if err := fs.Submit(sess, func(f *core.Frame, err error) {
-		reply <- frameResult{frame: f, err: err}
-	}); err != nil {
-		return nil, err
-	}
-	res := <-reply
-	return res.frame, res.err
 }
 
 // Close stops the workers, then answers any still-queued jobs with

@@ -23,6 +23,20 @@ func testPlatform(t *testing.T) *core.Platform {
 	return p
 }
 
+// renderSync schedules one frame for the session and blocks for the
+// outcome, returning the frame's annotation count read under the session
+// lock.
+func renderSync(fs *FrameScheduler, s *core.Session) (annotations int, err error) {
+	reply := make(chan error, 1)
+	if err := fs.SubmitVisit(s, func(f *core.Frame) {
+		annotations = len(f.Annotations)
+	}, func(err error) { reply <- err }); err != nil {
+		return 0, err
+	}
+	err = <-reply
+	return annotations, err
+}
+
 func TestSchedulerRendersFrames(t *testing.T) {
 	p := testPlatform(t)
 	fs := NewFrameScheduler(SchedulerConfig{Workers: 2}, p.Metrics())
@@ -31,11 +45,11 @@ func TestSchedulerRendersFrames(t *testing.T) {
 	if err := s.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := fs.Frame(s)
+	n, err := renderSync(fs, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Annotations) == 0 {
+	if n == 0 {
 		t.Fatal("scheduled frame has no annotations")
 	}
 	if got := p.Metrics().Counter("server.frames.done").Value(); got != 1 {
@@ -90,7 +104,7 @@ func TestSchedulerShedsStaleJobs(t *testing.T) {
 	}
 	shed := 0
 	for i := 0; i < 10; i++ {
-		if _, err := fs.Frame(s); errors.Is(err, ErrFrameShed) {
+		if _, err := renderSync(fs, s); errors.Is(err, ErrFrameShed) {
 			shed++
 		} else if err != nil {
 			t.Fatal(err)
@@ -110,7 +124,7 @@ func TestSchedulerCloseUnblocksSubmitters(t *testing.T) {
 	s := p.NewSession()
 	done := make(chan error, 1)
 	go func() {
-		_, err := fs.Frame(s)
+		_, err := renderSync(fs, s)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -123,9 +137,9 @@ func TestSchedulerCloseUnblocksSubmitters(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Frame still blocked after Close")
+		t.Fatal("submitter still blocked after Close")
 	}
-	if _, err := fs.Frame(s); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("Frame after Close: %v", err)
+	if _, err := renderSync(fs, s); !errors.Is(err, ErrSchedulerClosed) {
+		t.Fatalf("submit after Close: %v", err)
 	}
 }

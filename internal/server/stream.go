@@ -737,24 +737,23 @@ func (st *frameStream) visit(f *core.Frame) {
 		st.fl.SetSeq(seq)
 		st.fl.MarkSplit(obs.StageQueue, obs.StageRender, f.Elapsed)
 	}
+	typ, key := wire.MsgFramePush, false
 	if st.delta {
 		// Keyframe on the first push, on request (ack resync, outbox
 		// drop), every Nth push, and whenever the session rendered for
 		// someone else in between — f.PrevAnnotations is then not the
 		// frame this stream last pushed, so a diff would corrupt.
-		key := st.forceKey.Swap(false) || seq == 1 ||
+		typ = wire.MsgFrameDelta
+		key = st.forceKey.Swap(false) || seq == 1 ||
 			st.sinceKey >= keyframeEvery-1 || f.Index != st.lastIndex+1
-		st.pooled = st.eng.encodeFrameDeltaReply(&st.reply, st.session, seq, f, key)
 		if key {
 			st.sinceKey = 0
 			st.keyframes.Inc()
 		} else {
 			st.sinceKey++
 		}
-	} else {
-		st.pooled = st.eng.encodeFrameReply(&st.reply, st.session, seq, f)
-		st.reply.Type = wire.MsgFramePush
 	}
+	st.pooled = st.eng.encodeFrame(&st.reply, typ, st.session, seq, f, key)
 	if st.fl != nil {
 		st.fl.Mark(obs.StageEncode)
 	}
